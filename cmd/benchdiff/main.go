@@ -11,10 +11,11 @@
 // -fresh DIR.  All numeric leaves are flattened to dotted paths — array
 // elements are labelled by their discriminator fields (name, readers,
 // writers) so sweep points line up across runs — and printed as a
-// per-metric delta table.  The exit status is nonzero if any
-// floor-point speedup (the same points the benches themselves gate on)
-// regressed by more than -threshold, or if a fresh document lost its
-// floor point entirely.  Files with no committed baseline yet are
+// per-metric delta table.  The exit status is nonzero if any floor
+// point (the speedups the benches themselves gate on, plus absolute
+// rates such as the ordering probe's rows per second) regressed by more
+// than -threshold, or if a fresh document lost its floor point
+// entirely.  Files with no committed baseline yet are
 // reported and skipped, so the first run of a new bench cannot fail.
 package main
 
@@ -34,7 +35,7 @@ import (
 // is informational.
 var floorKeys = map[string][]string{
 	"BENCH_commit.json": {"sweep[writers=16].speedup"},
-	"BENCH_quel.json":   {"workloads[join-heavy].speedup"},
+	"BENCH_quel.json":   {"workloads[join-heavy].speedup", "workloads[ordering-probe].planner_rows_per_sec"},
 	"BENCH_par.json":    {"sweep[workers=8].par_speedup"},
 	"BENCH_read.json":   {"sweep[readers=4,writers=4].speedup"},
 	"BENCH_repl.json":   {"sweep[replicas=4].scaling"},

@@ -157,7 +157,8 @@ range of s is SCORE`
 	}
 
 	// Snapshot and sanity-check the planner counters: the workloads above
-	// must have exercised index scans, hash joins, and ordering probes.
+	// must have exercised index scans, hash joins, and ordering probes
+	// that fetch their partners by ref.
 	snap := m.Obs().Doc()
 	if err := obs.ValidateDoc(snap); err != nil {
 		return err
@@ -168,7 +169,7 @@ range of s is SCORE`
 			doc.PlanCounters[mt.Name] = mt.Value
 		}
 	}
-	for _, name := range []string{"quel.plan.scan.index", "quel.plan.join.hash", "quel.plan.join.probe", "quel.plan.hash.hits"} {
+	for _, name := range []string{"quel.plan.scan.index", "quel.plan.join.hash", "quel.plan.join.probe", "quel.plan.scan.fetch", "quel.plan.hash.hits"} {
 		if doc.PlanCounters[name] == 0 {
 			return fmt.Errorf("expected nonzero planner counter %s", name)
 		}

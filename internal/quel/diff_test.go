@@ -19,12 +19,19 @@ import (
 // index range scans (bounded and unbounded sargs, matched and
 // mismatched literal kinds), hash equi-joins (attribute/attribute,
 // identity, multi-conjunct), ordering probes (before/after/under, both
-// orientations), join reordering, sort elision, unique, and empty-scan
-// short-circuits.
+// orientations, scanned or fetched by ref), join reordering, sort
+// elision, unique, and empty-scan short-circuits.  The planner runs on
+// a statement snapshot and, in a second session, on the locking path;
+// both must agree with each other row for row.  Ordering-probe queries
+// anchored on one row must also match the naive row order exactly:
+// siblings are appended in creation order, so sibling order and the
+// naive executor's heap order coincide.
 func TestPlannerNaiveDifferential(t *testing.T) {
 	db, planned := newSession(t)
 	naive := NewSession(db)
 	naive.SetNaive(true)
+	locking := NewSession(db)
+	locking.SetSnapshotReads(false)
 
 	if _, err := ddl.Exec(db, `
 define entity A (x = integer, y = integer, w = float)
@@ -57,7 +64,7 @@ define index on NOTE (name)
 			t.Fatal(err)
 		}
 	}
-	chords := make([]value.Ref, 4)
+	chords := make([]value.Ref, 8)
 	for i := range chords {
 		c, err := db.NewEntity("CHORD", model.Attrs{"name": value.Int(int64(i + 1))})
 		if err != nil {
@@ -81,6 +88,8 @@ define index on NOTE (name)
 	}
 
 	lit := func() int64 { return rng.Int63n(12) }
+	chord := func() int64 { return 1 + rng.Int63n(int64(len(chords))) }
+	name := func() int64 { return rng.Int63n(40) }
 	pitch := func() int64 { return 48 + rng.Int63n(32) }
 	op := func() string {
 		return []string{"=", "!=", "<", "<=", ">", ">="}[rng.Intn(6)]
@@ -107,7 +116,7 @@ define index on NOTE (name)
 		func() string { return fmt.Sprintf(`retrieve (a.x) where a.x = b.x and a.y = b.z and b.x < %d`, lit()) },
 		func() string { return fmt.Sprintf(`retrieve (a.x, b.x) where a.x = b.x or a.y > %d`, lit()) },
 		func() string {
-			return fmt.Sprintf(`retrieve (n.name, c.name) where n.chord = c.name and c.name %s %d`, op(), 1+rng.Int63n(4))
+			return fmt.Sprintf(`retrieve (n.name, c.name) where n.chord = c.name and c.name %s %d`, op(), chord())
 		},
 		// Identity join through two variables over the same type.
 		func() string { return fmt.Sprintf(`retrieve (n1.name) where n1 = n2 and n2.name = %d`, rng.Int63n(40)) },
@@ -122,7 +131,7 @@ define index on NOTE (name)
 			return fmt.Sprintf(`retrieve (n2.name) where n1 before n2 in note_in_chord and n1.name = %d`, rng.Int63n(40))
 		},
 		func() string {
-			return fmt.Sprintf(`retrieve (n.name, c.name) where n under c in note_in_chord and c.name = %d`, 1+rng.Int63n(4))
+			return fmt.Sprintf(`retrieve (n.name, c.name) where n under c in note_in_chord and c.name = %d`, chord())
 		},
 		func() string {
 			return fmt.Sprintf(`retrieve (c.name) where n under c in note_in_chord and n.name = %d`, rng.Int63n(40))
@@ -130,7 +139,7 @@ define index on NOTE (name)
 		func() string { return `retrieve unique (c.name) where n under c in note_in_chord and n.pitch > 60` },
 		// Three-way: ordering probe plus hash join.
 		func() string {
-			return fmt.Sprintf(`retrieve (n1.name, n2.name) where n1 before n2 in note_in_chord and n1.pitch = n2.pitch and c.name = n1.chord and c.name %s %d`, op(), 1+rng.Int63n(4))
+			return fmt.Sprintf(`retrieve (n1.name, n2.name) where n1 before n2 in note_in_chord and n1.pitch = n2.pitch and c.name = n1.chord and c.name %s %d`, op(), chord())
 		},
 		// Sort elision (asc and desc) and sorted joins.
 		func() string { return fmt.Sprintf(`retrieve (p = n.pitch) where n.pitch > %d sort by p`, pitch()) },
@@ -141,19 +150,67 @@ define index on NOTE (name)
 		func() string { return `retrieve (a.y, b.z) where a.x = b.x sort by y, z desc` },
 	}
 
+	// Ordering probes whose probe side is fetched by ref (one anchor's
+	// partners are far fewer than the probe side's rows), in every
+	// direction, with indexed and unindexed sargs on the fetched side,
+	// over three variables, and falling back to a scan when a hash
+	// join claims the deferred variable first.
+	ordered := []func() string{
+		func() string {
+			return fmt.Sprintf(`retrieve (n1.name, n1.pitch) where n1 before n2 in note_in_chord and n2.name = %d`, name())
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (n1.name) where n1 after n2 in note_in_chord and n2.name = %d`, name())
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (n2.name) where n1 before n2 in note_in_chord and n1.name = %d`, name())
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (n2.name) where n1 after n2 in note_in_chord and n1.name = %d`, name())
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (n.name, n.chord) where n under c in note_in_chord and c.name = %d`, chord())
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (c.name) where n under c in note_in_chord and n.name = %d`, name())
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (c.name) where c.name %s %d and n under c in note_in_chord and n.name = %d`, op(), chord(), name())
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (n1.name) where n1 before n2 in note_in_chord and n2.name = %d and n1.pitch %s %d and n1.chord %s %d`,
+				name(), op(), pitch(), op(), chord())
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (n1.name) where n1 after n2 in note_in_chord and n2.name = %d and n1.name %s %d`, name(), op(), name())
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (n1.name, n3.name) where n1 before n2 in note_in_chord and n2 before n3 in note_in_chord and n2.name = %d`, name())
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (n.name, n1.name) where n under c in note_in_chord and n1 after n in note_in_chord and c.name = %d and n1.pitch > %d`, chord(), pitch())
+		},
+		func() string {
+			return fmt.Sprintf(`retrieve (n1.name) where n1 before n2 in note_in_chord and n2.name = %d and n1.pitch = n2.pitch`, name())
+		},
+	}
+
 	decls := `range of a is A
 range of b is B
-range of n, n1, n2 is NOTE
+range of n, n1, n2, n3 is NOTE
 range of c is CHORD`
-	mustExec(t, planned, decls)
-	mustExec(t, naive, decls)
+	for _, sess := range []*Session{planned, naive, locking} {
+		mustExec(t, sess, decls)
+	}
 
-	for i := 0; i < 250; i++ {
-		q := templates[i%len(templates)]()
+	fetch := db.Store().Obs().Counter("quel.plan.scan.fetch")
+	run := func(q string) (*Result, *Result) {
+		t.Helper()
 		pres, perr := planned.Exec(q)
+		lres, lerr := locking.Exec(q)
 		nres, nerr := naive.Exec(q)
-		if (perr == nil) != (nerr == nil) {
-			t.Fatalf("query %q: planner err = %v, naive err = %v", q, perr, nerr)
+		if (perr == nil) != (nerr == nil) || (lerr == nil) != (nerr == nil) {
+			t.Fatalf("query %q: planner err = %v, locking err = %v, naive err = %v", q, perr, lerr, nerr)
 		}
 		if perr != nil {
 			t.Fatalf("query %q: %v", q, perr)
@@ -161,9 +218,26 @@ range of c is CHORD`
 		if got, want := strings.Join(pres.Columns, ","), strings.Join(nres.Columns, ","); got != want {
 			t.Fatalf("query %q: columns %q vs %q", q, got, want)
 		}
+		if got, want := lres.String(), pres.String(); got != want {
+			t.Fatalf("query %q: locking path differs from snapshot path\nlocking:\n%s\nsnapshot:\n%s", q, got, want)
+		}
 		if got, want := canonRows(pres), canonRows(nres); got != want {
 			t.Fatalf("query %q: result mismatch\nplanner:\n%s\nnaive:\n%s", q, got, want)
 		}
+		return pres, nres
+	}
+	for i := 0; i < 250; i++ {
+		run(templates[i%len(templates)]())
+	}
+	f0 := fetch.Value()
+	for i := 0; i < 240; i++ {
+		q := ordered[i%len(ordered)]()
+		if pres, nres := run(q); pres.String() != nres.String() {
+			t.Fatalf("query %q: row order differs\nplanner:\n%s\nnaive:\n%s", q, pres, nres)
+		}
+	}
+	if fetch.Value() == f0 {
+		t.Fatal("no ordering probe fetched its partners by ref")
 	}
 }
 

@@ -168,6 +168,7 @@ func NewSession(db *model.Database) *Session {
 			scanFull:    reg.Counter("quel.plan.scan.full"),
 			scanIndex:   reg.Counter("quel.plan.scan.index"),
 			scanIncipit: reg.Counter("quel.plan.scan.incipit"),
+			scanFetch:   reg.Counter("quel.plan.scan.fetch"),
 			joinHash:    reg.Counter("quel.plan.join.hash"),
 			joinLoop:    reg.Counter("quel.plan.join.loop"),
 			joinProbe:   reg.Counter("quel.plan.join.probe"),

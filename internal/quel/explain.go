@@ -68,6 +68,18 @@ type joinStat struct {
 	Build  int    // bindings on the step's own side
 	Probes int
 	Hits   int
+	Fetch  *fetchStats // set when the probe fetched the variable by ref
+}
+
+// fetchStats describes a variable bound by its ordering probe: partners
+// fetched by ref instead of a scan.
+type fetchStats struct {
+	Rel      string
+	Ordering string
+	Est      int // expected fetches
+	Fetched  int // partners with a visible tuple
+	Kept     int // fetched tuples passing the sargs
+	Sargs    []string
 }
 
 // estCombos is the join-size estimate: the product of per-scan
@@ -188,6 +200,13 @@ func renderSteps(add func(int, string, ...any), depth int, ps *planStats, k int)
 		add(depth, "NestedLoopJoin (est=%d, probes=%d, hits=%d)", st.Est, st.Probes, st.Hits)
 	}
 	renderSteps(add, depth+1, ps, k-1)
+	if f := st.Fetch; f != nil {
+		add(depth+1, "Fetch %s on %s by %s (est=%d, fetched=%d, kept=%d)", st.Var, f.Rel, f.Ordering, f.Est, f.Fetched, f.Kept)
+		if len(f.Sargs) > 0 {
+			add(depth+2, "Sarg: %s", strings.Join(f.Sargs, " and "))
+		}
+		return
+	}
 	renderScan(add, depth+1, scanFor(ps, st.Var))
 }
 

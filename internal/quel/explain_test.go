@@ -107,3 +107,27 @@ func TestExplainRunsQuery(t *testing.T) {
 		t.Fatalf("expected actual scan counts, got:\n%s", strings.Join(got, "\n"))
 	}
 }
+
+// TestExplainOrderProbeFetch is the golden test for probe-driven
+// binding: n2's name index leaves one anchor, and its 24 `before`
+// partners (of 200 notes in 4 scores) cost far less to fetch by ref
+// than scanning n1's pitch range, so n1 is never scanned.  The pitch
+// sarg filters each fetched tuple instead.
+func TestExplainOrderProbeFetch(t *testing.T) {
+	db, s := newSession(t)
+	buildScores(t, db, 4, 50)
+	mustExec(t, s, `range of n1, n2 is NOTE`)
+	got := planLines(t, s,
+		`explain retrieve (n1.name) where n1 before n2 in note_in_score and n2.name = 124 and n1.pitch < 60`)
+	want := []string{
+		`Retrieve (rows=11) (time=X)`,
+		`  Filter: (((n1 before n2 in note_in_score) and (n2.name = 124)) and (n1.pitch < 60)) (in=11, out=11)`,
+		`    OrderOps: 11 evals (time=X)`,
+		`    OrderProbe (n1 before n2 in note_in_score) (est=12, probes=1, hits=11)`,
+		`      IndexScan n2 on NOTE using ix_note_name [name = 124] (est=1, scanned=1, kept=1) (time=X)`,
+		`        Sarg: n2.name = 124`,
+		`      Fetch n1 on NOTE by note_in_score (est=25, fetched=24, kept=11)`,
+		`        Sarg: n1.pitch < 60`,
+	}
+	assertPlan(t, got, want)
+}

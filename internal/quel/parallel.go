@@ -141,6 +141,7 @@ func (s *Session) runParallelJoin(ctx context.Context, steps []*joinStep) error 
 		for k := range counts {
 			counts[k].probes += ws.counts[k].probes
 			counts[k].hits += ws.counts[k].hits
+			counts[k].fetched += ws.counts[k].fetched
 		}
 		if s.ps != nil {
 			s.ps.FilterIn += ws.w.ps.FilterIn

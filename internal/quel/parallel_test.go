@@ -146,6 +146,16 @@ func TestParallelSerialNaiveDifferential(t *testing.T) {
 		func() string {
 			return fmt.Sprintf(`retrieve (n1.name) where n1 after n2 in note_in_score and n2.name %s %d`, op(), name())
 		},
+		// A few drivers whose partners are fetched by ref, so several
+		// workers fetch from the snapshot at once.
+		func() string {
+			lo := name()
+			return fmt.Sprintf(`retrieve (n1.name, n2.name) where n1 before n2 in note_in_score and n2.name >= %d and n2.name < %d`, lo, lo+3)
+		},
+		func() string {
+			lo := name()
+			return fmt.Sprintf(`retrieve (n.name, s.name) where n under s in note_in_score and n.name >= %d and n.name < %d`, lo, lo+2)
+		},
 		// Hash joins across scores, with and without sargs.
 		func() string {
 			return fmt.Sprintf(`retrieve (n1.name, n2.name) where n1.pitch = n2.pitch and n1.name < %d and n2.name >= %d`, name(), name())

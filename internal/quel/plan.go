@@ -2,8 +2,10 @@ package quel
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -15,7 +17,7 @@ import (
 )
 
 // This file is the cost-based planning layer over bindAll (§5.2: stored
-// order and access paths are the relational performance lever).  Three
+// order and access paths are the relational performance lever).  Four
 // optimizations, each visible in explain and in the quel.plan.* metrics:
 //
 //   - index range scans: a sarg on an indexed attribute becomes a
@@ -25,7 +27,11 @@ import (
 //     looping the cross product;
 //   - join ordering: variables join smallest post-sarg binding list
 //     first, preferring variables connected to the already-joined set
-//     by an equi- or ordering conjunct.
+//     by an equi- or ordering conjunct;
+//   - probe-driven binding: when an ordering conjunct's partners are
+//     fewer than the rows a variable's access path would visit, the
+//     variable is never materialized; each probe fetches its partners
+//     by ref through the unique by_ref index (fetchByRef).
 //
 // The qualification is still evaluated in full for every emitted
 // combination, so the join conjuncts only prune; they never decide truth
@@ -37,6 +43,7 @@ type planMetrics struct {
 	scanFull    *obs.Counter // quel.plan.scan.full
 	scanIndex   *obs.Counter // quel.plan.scan.index
 	scanIncipit *obs.Counter // quel.plan.scan.incipit
+	scanFetch   *obs.Counter // quel.plan.scan.fetch
 	joinHash    *obs.Counter // quel.plan.join.hash
 	joinLoop    *obs.Counter // quel.plan.join.loop
 	joinProbe   *obs.Counter // quel.plan.join.probe
@@ -74,12 +81,31 @@ type sortHint struct {
 
 // varPlan is one range variable's slice of the plan.
 type varPlan struct {
-	name   string
-	info   varInfo
-	sargs  []sarg
-	access accessPath
-	list   []binding
-	byRef  map[value.Ref]int // entity ref → list position (order probes)
+	name    string
+	info    varInfo
+	sargs   []sarg
+	access  accessPath
+	list    []binding
+	scanned bool              // list is materialized (scanPlan ran)
+	byRef   map[value.Ref]int // entity ref → list position (order probes)
+}
+
+// size is the variable's binding count: exact once materialized, the
+// access path's pre-scan estimate while its binding is deferred.
+func (vp *varPlan) size() int {
+	if vp.scanned {
+		return len(vp.list)
+	}
+	return vp.access.est
+}
+
+// sargStrings renders the variable's pushed-down sargs for explain.
+func (vp *varPlan) sargStrings() []string {
+	var out []string
+	for _, sg := range vp.sargs {
+		out = append(out, fmt.Sprintf("%s.%s %s %s", vp.name, sg.attr, sg.op, sg.v))
+	}
+	return out
 }
 
 // joinKey selects the join-key value of one side of an equi-conjunct: an
@@ -336,11 +362,10 @@ func (s *Session) chooseAccess(varName string, info varInfo, sargs []sarg, incip
 // storage layer never mutates stored tuples in place, so bindings may
 // alias them for the statement's lifetime.
 func (s *Session) scanPlan(ctx context.Context, vp *varPlan) error {
+	vp.scanned = true
 	st := scanStats{Var: vp.name, Rel: vp.info.typ, Est: vp.access.est,
-		Index: vp.access.index, Range: vp.access.rng, Incipit: vp.access.incipit}
-	for _, sg := range vp.sargs {
-		st.Sargs = append(st.Sargs, fmt.Sprintf("%s.%s %s %s", vp.name, sg.attr, sg.op, sg.v))
-	}
+		Index: vp.access.index, Range: vp.access.rng, Incipit: vp.access.incipit,
+		Sargs: vp.sargStrings()}
 	start := time.Now()
 	collect := func(b binding) bool {
 		st.Scanned++
@@ -379,13 +404,63 @@ func (s *Session) scanPlan(ctx context.Context, vp *varPlan) error {
 	return err
 }
 
+// skipScan records a variable left unscanned because an earlier
+// variable had no bindings.
+func (s *Session) skipScan(vp *varPlan) {
+	if s.ps != nil {
+		s.ps.Scans = append(s.ps.Scans, scanStats{Var: vp.name, Rel: vp.info.typ, Est: vp.access.est,
+			Index: vp.access.index, Range: vp.access.rng, Skipped: true, Sargs: vp.sargStrings()})
+	}
+}
+
+// fetchByRef binds each ref in refs, in order, to its tuple through the
+// type's unique by_ref index: the snapshot-visible version when a
+// statement snapshot is pinned, the live committed one otherwise.  A ref
+// with no visible tuple (not yet created, or deleted, as of the read) is
+// skipped.  fn runs outside the storage callback, so it may read again.
+func (s *Session) fetchByRef(ctx context.Context, info varInfo, refs []value.Ref, fn func(binding) error) error {
+	refIx, ok := s.db.AttrIndexName(info.typ, "_ref")
+	if !ok {
+		return fmt.Errorf("quel: %s has no surrogate index", info.typ)
+	}
+	var b binding
+	found := false
+	emit := func(ref value.Ref, attrs value.Tuple) bool {
+		b, found = binding{ref: ref, attrs: attrs, fields: info.fields, typ: info.typ}, true
+		return false
+	}
+	var key []byte
+	for _, ref := range refs {
+		key = value.AppendKey(key[:0], value.RefVal(ref))
+		n := len(key)
+		key = append(key, maxKeySuffix...)
+		lo := key[:n:n] // capped: an append to lo must not clobber hi
+		found = false
+		var err error
+		if snap := s.snap; snap != nil {
+			err = snap.InstancesRange(info.typ, refIx, lo, key, false, emit)
+		} else {
+			err = s.db.InstancesRangeCtx(ctx, info.typ, refIx, lo, key, false, emit)
+		}
+		if err != nil {
+			return err
+		}
+		if found {
+			if err := fn(b); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // incipitScan materializes a variable's bindings from its gram-index
 // access path: range the companion gram type's index for the probe
 // gram, dedup the posted entry refs (an incipit can contain one gram
-// several times), then fetch each candidate entity through its type's
-// unique surrogate index.  The emitted set is a superset of the true
-// answer; the incipit predicate remains in the qualification and the
-// Match callback rejects gram collisions per combination.
+// several times), then fetch each candidate entity by ref.  The emitted
+// set is a superset of the true answer; the incipit predicate remains
+// in the qualification and the Match callback rejects gram collisions
+// per combination.
 func (s *Session) incipitScan(ctx context.Context, vp *varPlan, collect func(binding) bool) error {
 	spec, ok := s.db.IncipitIndexFor(vp.info.typ)
 	if !ok {
@@ -418,26 +493,10 @@ func (s *Session) incipitScan(ctx context.Context, vp *varPlan, collect func(bin
 	if err != nil {
 		return err
 	}
-	refIx, ok := s.db.AttrIndexName(vp.info.typ, "_ref")
-	if !ok {
-		return fmt.Errorf("quel: %s has no surrogate index", vp.info.typ)
-	}
-	emit := func(ref value.Ref, attrs value.Tuple) bool {
-		return collect(binding{ref: ref, attrs: attrs, fields: vp.info.fields, typ: vp.info.typ})
-	}
-	for _, ref := range cands {
-		klo := value.AppendKey(nil, value.RefVal(ref))
-		khi := withMaxSuffix(klo)
-		if snap := s.snap; snap != nil {
-			err = snap.InstancesRange(vp.info.typ, refIx, klo, khi, false, emit)
-		} else {
-			err = s.db.InstancesRangeCtx(ctx, vp.info.typ, refIx, klo, khi, false, emit)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.fetchByRef(ctx, vp.info, cands, func(b binding) error {
+		collect(b)
+		return nil
+	})
 }
 
 type joinMethod uint8
@@ -474,14 +533,21 @@ type joinStep struct {
 	oc        orderCond
 	newIsLeft bool
 	otherVar  string
+	// fetch marks probe-driven binding: vp has no list, and each probe
+	// fetches its partners by ref (fetchByRef); fetchEst is the
+	// planner's expected number of fetches.
+	fetch    bool
+	fetchEst int
 
 	est int // estimated combinations after this step joins
 }
 
-// stepCount accumulates one driver's probe/hit counts for a step.  The
-// counts live outside joinStep so parallel workers driving disjoint
-// morsels over the same (read-only) steps never write shared memory.
-type stepCount struct{ probes, hits int }
+// stepCount accumulates one driver's probe/hit counts for a step, and
+// for a fetch step the partners fetched (hits are those kept by the
+// sargs).  The counts live outside joinStep so parallel workers driving
+// disjoint morsels over the same (read-only) steps never write shared
+// memory.
+type stepCount struct{ probes, hits, fetched int }
 
 // appendHashKey encodes v for hash-join key equality.  Within one
 // declared kind the order-preserving encoding is bijective, except that
@@ -513,7 +579,7 @@ func buildHashTable(vp *varPlan, build []joinKey) map[string][]int {
 // else falls back to a tenth of the list — the classic guess for an
 // unindexed equi-key.
 func (s *Session) distinctOf(vp *varPlan, k joinKey) int {
-	n := len(vp.list)
+	n := vp.size()
 	if n == 0 {
 		return 1
 	}
@@ -536,11 +602,12 @@ func (s *Session) distinctOf(vp *varPlan, k joinKey) int {
 	return 1
 }
 
-// orderFanout estimates an ordering probe's partner count per bound row:
-// one parent when the new variable is the parent side of `under`; the
-// average family size (children over parents) when it is the child side;
-// half the average sibling count for before/after.
-func (s *Session) orderFanout(vp *varPlan, oc orderCond, newIsLeft bool) float64 {
+// orderFanout estimates an ordering probe's partner count per bound row
+// when the new side holds size rows: one parent when the new variable is
+// the parent side of `under`; the average family size (children over
+// parents) when it is the child side; half the average sibling count for
+// before/after.
+func (s *Session) orderFanout(size int, oc orderCond, newIsLeft bool) float64 {
 	if oc.op == "under" && !newIsLeft {
 		return 1
 	}
@@ -550,7 +617,7 @@ func (s *Session) orderFanout(vp *varPlan, oc orderCond, newIsLeft bool) float64
 			parents = n
 		}
 	}
-	fan := float64(len(vp.list)) / float64(parents)
+	fan := float64(size) / float64(parents)
 	if oc.op != "under" {
 		fan /= 2
 	}
@@ -558,6 +625,50 @@ func (s *Session) orderFanout(vp *varPlan, oc orderCond, newIsLeft bool) float64
 		fan = 1
 	}
 	return fan
+}
+
+// fetchCost is what one by-ref point fetch costs in rows visited by a
+// scan: a B-tree descent of the by_ref index plus a tuple (version)
+// read, against one step of a sequential heap or index-range walk.
+const fetchCost = 4
+
+// fetchCheaper reports whether binding vp by fetching its ordering
+// partners beats materializing it: driverRows bound rows times the
+// partners each probe yields (every partner is fetched, sargs or not,
+// so the fan-out is over the whole relation), weighted by fetchCost,
+// against the rows vp's access path would visit.
+func (s *Session) fetchCheaper(vp *varPlan, driverRows float64, oc orderCond, newIsLeft bool) bool {
+	partners := driverRows * s.orderFanout(s.estimate(vp.info), oc, newIsLeft)
+	return partners*fetchCost < float64(vp.access.est)
+}
+
+// deferBinding decides, before vp is scanned, whether its binding may be
+// left to ordering probes: an already-materialized partner across an
+// ordering conjunct makes fetching cheaper than vp's access path.  A
+// cached plan replays its recorded fetch decision instead.  makeStep
+// makes the final call against the joined set's estimate, and scans a
+// deferred variable that ends up not fetched.
+func (s *Session) deferBinding(vp *varPlan, byName map[string]*varPlan, orders []orderCond, cached *cachedPlan) bool {
+	if vp.info.isRel {
+		return false
+	}
+	if cached != nil {
+		return cached.access[vp.name].fetched
+	}
+	for _, oc := range orders {
+		newIsLeft := oc.l == vp.name
+		other := oc.r
+		if !newIsLeft {
+			if oc.r != vp.name {
+				continue
+			}
+			other = oc.l
+		}
+		if op := byName[other]; op != nil && op.scanned && s.fetchCheaper(vp, float64(len(op.list)), oc, newIsLeft) {
+			return true
+		}
+	}
+	return false
 }
 
 // estFanout estimates how many combinations each already-joined row
@@ -568,7 +679,7 @@ func (s *Session) orderFanout(vp *varPlan, oc orderCond, newIsLeft bool) float64
 // whole list (cross product).  Mirrors makeStep's method choice: hash
 // when equi-connected, probe when order-connected, loop otherwise.
 func (s *Session) estFanout(vp *varPlan, byName map[string]*varPlan, chosen map[string]bool, equis []equiCond, orders []orderCond) float64 {
-	fan := float64(len(vp.list))
+	fan := float64(vp.size())
 	conn := false
 	for _, ec := range equis {
 		var mine, theirs joinKey
@@ -606,7 +717,7 @@ func (s *Session) estFanout(vp *varPlan, byName map[string]*varPlan, chosen map[
 		if !chosen[other] {
 			continue
 		}
-		if f := s.orderFanout(vp, oc, newIsLeft); f < fan {
+		if f := s.orderFanout(vp.size(), oc, newIsLeft); f < fan {
 			fan = f
 		}
 	}
@@ -615,16 +726,13 @@ func (s *Session) estFanout(vp *varPlan, byName map[string]*varPlan, chosen map[
 
 // orderJoins picks the join order from planner statistics: each round
 // adds the unchosen variable with the smallest estimated fan-out
-// (estFanout; for the first variable that is simply its list size, so
-// the smallest binding list still drives the pipeline).  Ties break on
-// list size then variable name — plans stay deterministic for golden
-// tests.  A non-nil forced order (plan-cache replay) skips the ranking
-// but still computes each step's estimate for explain.
-func (s *Session) orderJoins(plans []*varPlan, equis []equiCond, orders []orderCond, forced []string) []*joinStep {
-	byName := make(map[string]*varPlan, len(plans))
-	for _, vp := range plans {
-		byName[vp.name] = vp
-	}
+// (estFanout; for the first variable that is simply its size, so the
+// smallest binding list still drives the pipeline).  A deferred
+// variable ranks by its access path's pre-scan estimate.  Ties break on
+// size then variable name — plans stay deterministic for golden tests.
+// A non-nil forced order (plan-cache replay) skips the ranking but
+// still computes each step's estimate for explain.
+func (s *Session) orderJoins(ctx context.Context, plans []*varPlan, byName map[string]*varPlan, equis []equiCond, orders []orderCond, forced []string) ([]*joinStep, error) {
 	if len(forced) == len(plans) {
 		for _, name := range forced {
 			if byName[name] == nil {
@@ -651,12 +759,15 @@ func (s *Session) orderJoins(plans []*varPlan, equis []equiCond, orders []orderC
 				}
 				fan := s.estFanout(vp, byName, chosen, equis, orders)
 				if best == nil || fan < bestFan ||
-					(fan == bestFan && len(vp.list) < len(best.list)) {
+					(fan == bestFan && vp.size() < best.size()) {
 					best, bestFan = vp, fan
 				}
 			}
 		}
-		st := s.makeStep(best, chosen, equis, orders, len(steps) == 0)
+		st, err := s.makeStep(ctx, best, chosen, equis, orders, len(steps) == 0, estRows, forced != nil)
+		if err != nil {
+			return nil, err
+		}
 		if estRows *= bestFan; estRows > 1e15 {
 			estRows = 1e15 // saturate: float-to-int overflow is undefined
 		}
@@ -664,66 +775,79 @@ func (s *Session) orderJoins(plans []*varPlan, equis []equiCond, orders []orderC
 		steps = append(steps, st)
 		chosen[best.name] = true
 	}
-	return steps
+	return steps, nil
 }
 
 // makeStep decides how variable vp joins the already-chosen set: a hash
 // join keyed on every connecting equi-conjunct, an ordering probe, or a
-// nested loop.
-func (s *Session) makeStep(vp *varPlan, chosen map[string]bool, equis []equiCond, orders []orderCond, first bool) *joinStep {
+// nested loop.  A deferred vp joined by a probe is fetched when that
+// still beats scanning it for driverRows joined rows (or, on plan-cache
+// replay, because the cached plan fetched it); otherwise it is scanned
+// here.
+func (s *Session) makeStep(ctx context.Context, vp *varPlan, chosen map[string]bool, equis []equiCond, orders []orderCond, first bool, driverRows float64, replay bool) (*joinStep, error) {
 	st := &joinStep{vp: vp, method: joinScan}
-	if first {
-		return st
-	}
-	var parts []string
-	for _, ec := range equis {
-		var b, p joinKey
-		switch {
-		case ec.l.v == vp.name && chosen[ec.r.v]:
-			b, p = ec.l, ec.r
-		case ec.r.v == vp.name && chosen[ec.l.v]:
-			b, p = ec.r, ec.l
-		default:
-			continue
+	if !first {
+		var parts []string
+		for _, ec := range equis {
+			var b, p joinKey
+			switch {
+			case ec.l.v == vp.name && chosen[ec.r.v]:
+				b, p = ec.l, ec.r
+			case ec.r.v == vp.name && chosen[ec.l.v]:
+				b, p = ec.r, ec.l
+			default:
+				continue
+			}
+			st.build = append(st.build, b)
+			st.probe = append(st.probe, p)
+			parts = append(parts, ec.desc)
 		}
-		st.build = append(st.build, b)
-		st.probe = append(st.probe, p)
-		parts = append(parts, ec.desc)
+		st.method, st.cond = joinLoop, strings.Join(parts, " and ")
+		if len(st.build) > 0 {
+			st.method = joinHash
+		} else if !vp.info.isRel {
+			for _, oc := range orders {
+				if oc.l == vp.name && chosen[oc.r] {
+					st.method, st.oc, st.newIsLeft, st.otherVar, st.cond = joinProbe, oc, true, oc.r, oc.desc
+					break
+				}
+				if oc.r == vp.name && chosen[oc.l] {
+					st.method, st.oc, st.newIsLeft, st.otherVar, st.cond = joinProbe, oc, false, oc.l, oc.desc
+					break
+				}
+			}
+		}
 	}
-	if len(st.build) > 0 {
-		st.method = joinHash
-		st.cond = strings.Join(parts, " and ")
+	if st.method == joinProbe && !vp.scanned && (replay || s.fetchCheaper(vp, driverRows, st.oc, st.newIsLeft)) {
+		st.fetch = true
+		st.fetchEst = int(driverRows * s.orderFanout(s.estimate(vp.info), st.oc, st.newIsLeft))
+		s.pm.scanFetch.Inc()
+		s.pm.joinProbe.Inc()
+		return st, nil
+	}
+	if !vp.scanned {
+		if err := s.scanPlan(ctx, vp); err != nil {
+			return nil, err
+		}
+	}
+	switch st.method {
+	case joinHash:
 		if s.parWorkers > 1 && len(vp.list) >= s.parMin {
 			st.table = s.buildHashTableParallel(vp, st.build)
 		} else {
 			st.table = buildHashTable(vp, st.build)
 		}
 		s.pm.joinHash.Inc()
-		return st
-	}
-	if !vp.info.isRel {
-		for _, oc := range orders {
-			if oc.l == vp.name && chosen[oc.r] {
-				st.method, st.oc, st.newIsLeft, st.otherVar, st.cond = joinProbe, oc, true, oc.r, oc.desc
-				break
-			}
-			if oc.r == vp.name && chosen[oc.l] {
-				st.method, st.oc, st.newIsLeft, st.otherVar, st.cond = joinProbe, oc, false, oc.l, oc.desc
-				break
-			}
-		}
-	}
-	if st.method == joinProbe {
+	case joinProbe:
 		vp.byRef = make(map[value.Ref]int, len(vp.list))
 		for li := range vp.list {
 			vp.byRef[vp.list[li].ref] = li
 		}
 		s.pm.joinProbe.Inc()
-		return st
+	case joinLoop:
+		s.pm.joinLoop.Inc()
 	}
-	st.method = joinLoop
-	s.pm.joinLoop.Inc()
-	return st
+	return st, nil
 }
 
 // children, childPosition, siblingsBefore, and siblingsAfter route an
@@ -838,6 +962,9 @@ func (r *stepRun) rec(k int) error {
 		if err != nil {
 			return err
 		}
+		if st.fetch {
+			return r.fetchRec(k, refs)
+		}
 		for _, ref := range refs {
 			li, ok := vp.byRef[ref]
 			if !ok {
@@ -861,6 +988,26 @@ func (r *stepRun) rec(k int) error {
 	return nil
 }
 
+// fetchRec binds step k's variable to each probe partner in turn,
+// fetched by ref, and recurses for those passing the variable's sargs.
+// Fetched tuples count as scanned rows (quel.scan.rows).
+func (r *stepRun) fetchRec(k int, refs []value.Ref) error {
+	vp := r.steps[k].vp
+	c := &r.counts[k]
+	before := c.fetched
+	err := r.s.fetchByRef(r.ctx, vp.info, refs, func(b binding) error {
+		c.fetched++
+		if !sargMatches(vp.sargs, b.fields, b.attrs) {
+			return nil
+		}
+		c.hits++
+		r.e[vp.name] = b
+		return r.rec(k + 1)
+	})
+	r.s.m.scanRows.Add(uint64(c.fetched - before))
+	return err
+}
+
 // bindAllPlanned is the cost-based executor behind bindAll.
 func (s *Session) bindAllPlanned(ctx context.Context, vars []string, infos map[string]varInfo, sargs map[string][]sarg, where Expr, fn func(env) error) error {
 	var equis []equiCond
@@ -872,6 +1019,7 @@ func (s *Session) bindAllPlanned(ctx context.Context, vars []string, infos map[s
 	}
 	cached, key := s.lookupPlan(vars, infos, where)
 	plans := make([]*varPlan, len(vars))
+	byName := make(map[string]*varPlan, len(vars))
 	for i, v := range vars {
 		vp := &varPlan{name: v, info: infos[v], sargs: sargs[v]}
 		if cached != nil {
@@ -880,20 +1028,29 @@ func (s *Session) bindAllPlanned(ctx context.Context, vars []string, infos map[s
 			vp.access = s.chooseAccess(v, vp.info, vp.sargs, incipits)
 		}
 		plans[i] = vp
+		byName[v] = vp
 	}
-	// Materialize binding lists; any empty list means zero combinations
-	// whatever the qualification, so remaining scans are skipped.
+	// Materialize binding lists cheapest estimate first (more sargs first
+	// among equals, then by name), so a deferrable variable sees its
+	// ordering partners' exact sizes.  Any empty list means zero
+	// combinations whatever the qualification, so remaining scans are
+	// skipped.
+	byCost := slices.Clone(plans)
+	slices.SortStableFunc(byCost, func(a, b *varPlan) int {
+		if c := cmp.Compare(a.access.est, b.access.est); c != 0 {
+			return c
+		}
+		return cmp.Compare(len(b.sargs), len(a.sargs))
+	})
 	empty := false
-	for _, vp := range plans {
+	var deferred []*varPlan
+	for _, vp := range byCost {
 		if empty {
-			if s.ps != nil {
-				st := scanStats{Var: vp.name, Rel: vp.info.typ, Est: vp.access.est,
-					Index: vp.access.index, Range: vp.access.rng, Skipped: true}
-				for _, sg := range vp.sargs {
-					st.Sargs = append(st.Sargs, fmt.Sprintf("%s.%s %s %s", vp.name, sg.attr, sg.op, sg.v))
-				}
-				s.ps.Scans = append(s.ps.Scans, st)
-			}
+			s.skipScan(vp)
+			continue
+		}
+		if s.deferBinding(vp, byName, orders, cached) {
+			deferred = append(deferred, vp)
 			continue
 		}
 		if err := s.scanPlan(ctx, vp); err != nil {
@@ -908,13 +1065,19 @@ func (s *Session) bindAllPlanned(ctx context.Context, vars []string, infos map[s
 		s.ps.SortIndex = plans[0].access.index
 	}
 	if empty {
+		for _, vp := range deferred {
+			s.skipScan(vp)
+		}
 		return nil
 	}
 	var forced []string
 	if cached != nil {
 		forced = cached.order
 	}
-	steps := s.orderJoins(plans, equis, orders, forced)
+	steps, err := s.orderJoins(ctx, plans, byName, equis, orders, forced)
+	if err != nil {
+		return err
+	}
 	if cached == nil && key != "" {
 		s.storePlan(key, plans, steps)
 	}
@@ -923,7 +1086,7 @@ func (s *Session) bindAllPlanned(ctx context.Context, vars []string, infos map[s
 	}
 	run := &stepRun{s: s, ctx: ctx, steps: steps,
 		counts: make([]stepCount, len(steps)), e: make(env, len(plans)), fn: fn}
-	err := run.rec(0)
+	err = run.rec(0)
 	s.m.combos.Add(uint64(run.combos))
 	if s.ps != nil {
 		s.ps.Combos = run.combos
@@ -936,9 +1099,14 @@ func (s *Session) bindAllPlanned(ctx context.Context, vars []string, infos map[s
 // planStats for explain.
 func (s *Session) recordSteps(steps []*joinStep, counts []stepCount) {
 	for k, st := range steps {
-		s.ps.Steps = append(s.ps.Steps, joinStat{Var: st.vp.name, Method: st.method.String(),
+		js := joinStat{Var: st.vp.name, Method: st.method.String(),
 			Cond: st.cond, Est: st.est, Build: len(st.vp.list),
-			Probes: counts[k].probes, Hits: counts[k].hits})
+			Probes: counts[k].probes, Hits: counts[k].hits}
+		if st.fetch {
+			js.Fetch = &fetchStats{Rel: st.vp.info.typ, Ordering: st.oc.ordering, Est: st.fetchEst,
+				Fetched: counts[k].fetched, Kept: counts[k].hits, Sargs: st.vp.sargStrings()}
+		}
+		s.ps.Steps = append(s.ps.Steps, js)
 	}
 }
 

@@ -1,6 +1,8 @@
 package quel
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -160,5 +162,113 @@ range of c is CHORD`)
 		if reg.Counter(name).Value() == 0 {
 			t.Fatalf("counter %s = 0", name)
 		}
+	}
+}
+
+// TestProbeFetchVersions pins what a by-ref fetch sees when ordering
+// partners change under a statement: on the snapshot path, a sibling
+// replaced or deleted after the snapshot is pinned still binds as its
+// snapshot version, and an entity created after the pin is skipped
+// without error; on the locking path the live versions bind and a
+// deleted ref is skipped.  Either way the probe fetches every partner
+// and the rows equal an unaffected execution's.
+func TestProbeFetchVersions(t *testing.T) {
+	for _, snapshot := range []bool{true, false} {
+		t.Run(fmt.Sprintf("snapshot=%v", snapshot), func(t *testing.T) {
+			db, s := newSession(t)
+			buildScores(t, db, 4, 50) // score 2 holds notes 100..149 in name order
+			s.SetSnapshotReads(snapshot)
+			naive := NewSession(db)
+			naive.SetNaive(true)
+			for _, sess := range []*Session{s, naive} {
+				mustExec(t, sess, "range of n1, n2 is NOTE")
+			}
+			q := `retrieve (n1.name, n1.pitch) where n1 before n2 in note_in_score and n2.name = 140 and n1.pitch < 80`
+			pinnedRows := mustExec(t, s, q).String()
+			refs := map[int64]value.Ref{}
+			if err := db.Instances("NOTE", func(ref value.Ref, attrs value.Tuple) bool {
+				refs[attrs[0].AsInt()] = ref
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			var snap *model.Snap
+			if snapshot {
+				var err error
+				if snap, err = db.BeginSnapshot(ctx); err != nil {
+					t.Fatal(err)
+				}
+				defer snap.Close()
+			}
+			// Note 110 (pitch 38) leaves the sarg, note 120 leaves the
+			// score, note 999 is new.
+			if err := db.SetAttr(refs[110], "pitch", value.Int(99)); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.DeleteEntity(refs[120]); err != nil {
+				t.Fatal(err)
+			}
+			late, err := db.NewEntity("NOTE", model.Attrs{"name": value.Int(999), "pitch": value.Int(40), "score": value.Int(2)})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			stmts, err := Parse(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.snap = snap
+			res, ps, err := s.retrieveStats(ctx, stmts[0].(Retrieve))
+			if err != nil {
+				t.Fatal(err)
+			}
+			info, err := s.varInfo("n1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fetched []string
+			err = s.fetchByRef(ctx, info, []value.Ref{refs[110], refs[120], late}, func(b binding) error {
+				fetched = append(fetched, fmt.Sprintf("%d:%d", b.attrs[0].AsInt(), b.attrs[1].AsInt()))
+				return nil
+			})
+			s.snap = nil
+			if err != nil {
+				t.Fatalf("fetchByRef: %v", err)
+			}
+
+			wantRows, wantFetched, partners := pinnedRows, "110:38 120:60", 40
+			if !snapshot {
+				wantRows = mustExec(t, naive, q).String()
+				wantFetched, partners = "110:99 999:40", 39
+				if wantRows == pinnedRows {
+					t.Fatal("live changes did not reach the naive executor")
+				}
+			}
+			if got := res.String(); got != wantRows {
+				t.Fatalf("rows:\n%s\nwant:\n%s", got, wantRows)
+			}
+			if got := strings.Join(fetched, " "); got != wantFetched {
+				t.Fatalf("fetchByRef bound %q, want %q", got, wantFetched)
+			}
+			if len(ps.Steps) != 2 || ps.Steps[1].Fetch == nil {
+				t.Fatalf("n1 was not fetched by ref: %+v", ps.Steps)
+			}
+			if got := ps.Steps[1].Fetch.Fetched; got != partners {
+				t.Fatalf("fetched %d partners, want %d", got, partners)
+			}
+			if snapshot {
+				return
+			}
+			// Write statements bind on the locking path too.
+			fetch := db.Store().Obs().Counter("quel.plan.scan.fetch")
+			f0 := fetch.Value()
+			if res := mustExec(t, s, `replace n1 (pitch = n1.pitch + 1) where n1 before n2 in note_in_score and n2.name = 140`); res.Affected != partners {
+				t.Fatalf("replace affected %d, want %d", res.Affected, partners)
+			}
+			if fetch.Value() == f0 {
+				t.Fatal("replace did not fetch its ordering partners")
+			}
+		})
 	}
 }

@@ -48,11 +48,14 @@ type cachedPlan struct {
 
 // cachedAccess replays chooseAccess without re-ranking: which attribute's
 // index to range ("" = heap scan); bounds re-derive from live literals.
+// fetched replays probe-driven binding: the variable is never scanned,
+// its ordering probe fetches partners by ref.
 type cachedAccess struct {
 	attr          string
 	satisfiesSort bool
 	reverse       bool
 	incipit       bool
+	fetched       bool
 }
 
 // NewPlanCache returns an empty cache; reg may be nil (no metrics).
@@ -135,6 +138,7 @@ func (s *Session) storePlan(key string, plans []*varPlan, steps []*joinStep) {
 			satisfiesSort: vp.access.satisfiesSort,
 			reverse:       vp.access.reverse,
 			incipit:       vp.access.incipit,
+			fetched:       !vp.scanned, // every variable not fetched was scanned
 		}
 	}
 	s.plans.put(key, cp)

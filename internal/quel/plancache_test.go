@@ -134,3 +134,46 @@ func TestPlanCacheCapBounded(t *testing.T) {
 		t.Fatalf("cache holds %d entries after overflow, want exactly %d", got, planCacheCap)
 	}
 }
+
+// TestPlanCacheReplaysFetch asserts a prepared ordering probe replays
+// its probe-driven binding: the second execution is a plan-cache hit,
+// fetches n1's partners by ref again, and scans no relation in full.
+func TestPlanCacheReplaysFetch(t *testing.T) {
+	db, s := newSession(t)
+	buildScores(t, db, 4, 50)
+	s.SetPlanCache(NewPlanCache(db.Store().Obs()))
+	naive := NewSession(db)
+	naive.SetNaive(true)
+	for _, sess := range []*Session{s, naive} {
+		mustExec(t, sess, "range of n1, n2 is NOTE")
+	}
+	src := `retrieve (n1.name) where n1 before n2 in note_in_score and n2.name = $1`
+	p, err := Prepare(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := db.Store().Obs()
+	hits, full, fetch := reg.Counter("quel.plan.cache.hits"), reg.Counter("quel.plan.scan.full"), reg.Counter("quel.plan.scan.fetch")
+	ctx := context.Background()
+	if _, err := s.ExecPreparedCtx(ctx, p, value.Int(30)); err != nil {
+		t.Fatal(err)
+	}
+	h0, f0, x0 := hits.Value(), full.Value(), fetch.Value()
+	res, err := s.ExecPreparedCtx(ctx, p, value.Int(170))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hits.Value() - h0; got != 1 {
+		t.Fatalf("second execution: %d plan-cache hits, want 1", got)
+	}
+	if got := full.Value() - f0; got != 0 {
+		t.Fatalf("second execution added %d to quel.plan.scan.full, want 0", got)
+	}
+	if got := fetch.Value() - x0; got != 1 {
+		t.Fatalf("second execution added %d to quel.plan.scan.fetch, want 1", got)
+	}
+	want := mustExec(t, naive, strings.Replace(src, "$1", "170", 1))
+	if len(res.Rows) != 20 || res.String() != want.String() {
+		t.Fatalf("replayed fetch returned\n%s\nwant (20 rows)\n%s", res, want)
+	}
+}

@@ -160,11 +160,15 @@ func AppendKey(dst []byte, v Value) []byte {
 
 // appendKeyFloat encodes a float so byte order matches numeric order:
 // flip the sign bit for non-negatives, flip all bits for negatives.
-// For integers beyond float precision the exact int64 is appended as a
+// Every NaN encodes as all-zero bits, below -Inf, because Compare
+// orders NaN before every number and treats all NaNs as equal.  For
+// integers beyond float precision the exact int64 is appended as a
 // tiebreaker (monotone within equal float prefixes).
 func appendKeyFloat(dst []byte, f float64, exact int64) []byte {
 	bits := math.Float64bits(f)
-	if bits&(1<<63) != 0 {
+	if math.IsNaN(f) {
+		bits = 0
+	} else if bits&(1<<63) != 0 {
 		bits = ^bits
 	} else {
 		bits |= 1 << 63
